@@ -1,8 +1,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"bump/internal/mem"
 	"bump/internal/snapshot"
@@ -107,15 +108,11 @@ func (t *MSHRTable) SnapshotTo(w *snapshot.Writer) {
 	w.U64(t.Allocs)
 	w.U64(t.Merges)
 	w.U64(t.Stalls)
-	blocks := make([]mem.BlockAddr, 0, len(t.entries))
-	for b := range t.entries {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	w.U32(uint32(len(blocks)))
-	for _, b := range blocks {
-		e := t.entries[b]
-		w.U64(uint64(b))
+	entries := slices.Clone(t.live)
+	slices.SortFunc(entries, func(a, b *MSHR) int { return cmp.Compare(a.Block, b.Block) })
+	w.U32(uint32(len(entries)))
+	for _, e := range entries {
+		w.U64(uint64(e.Block))
 		w.Bool(e.Demand)
 		w.U32(uint32(len(e.Waiters)))
 		for _, tok := range e.Waiters {
@@ -145,7 +142,8 @@ func (t *MSHRTable) RestoreFrom(r *snapshot.Reader) error {
 	if n > t.cap {
 		return fmt.Errorf("cache: %d outstanding MSHRs exceed capacity %d", n, t.cap)
 	}
-	t.entries = make(map[mem.BlockAddr]*MSHR, n)
+	t.live = make([]*MSHR, 0, n)
+	t.index = NewAddrIndex(n)
 	t.pool = nil
 	for i := 0; i < n; i++ {
 		b := mem.BlockAddr(r.U64())
@@ -158,10 +156,10 @@ func (t *MSHRTable) RestoreFrom(r *snapshot.Reader) error {
 		for j := range e.Waiters {
 			e.Waiters[j] = r.U64()
 		}
-		if _, dup := t.entries[b]; dup {
+		if _, dup := t.index.GetOrInsert(uint64(b), int32(len(t.live))); dup {
 			return fmt.Errorf("cache: duplicate MSHR for block %#x", uint64(b))
 		}
-		t.entries[b] = e
+		t.live = append(t.live, e)
 	}
 	return r.Err()
 }

@@ -1,6 +1,9 @@
 package prefetch
 
-import "bump/internal/mem"
+import (
+	"bump/internal/cache"
+	"bump/internal/mem"
+)
 
 // SMS implements Spatial Memory Streaming (Somogyi et al., ISCA 2006),
 // the state-of-the-art spatial prefetcher the paper compares against.
@@ -20,8 +23,10 @@ import "bump/internal/mem"
 type SMS struct {
 	regionShift uint
 
-	// Active generation table: region -> accumulating pattern.
-	agt map[mem.RegionAddr]*smsGen
+	// Active generation table: the open generations, held densely and
+	// indexed by region.
+	agt    []smsGen
+	agtIdx *cache.AddrIndex
 	// agtCap bounds the AGT like the hardware's filter/accumulation
 	// tables; overflowing generations are ended (trained) early.
 	agtCap  int
@@ -36,6 +41,7 @@ type SMS struct {
 }
 
 type smsGen struct {
+	region  mem.RegionAddr
 	pc      mem.PC
 	offset  uint
 	pattern uint64
@@ -108,7 +114,8 @@ func NewSMS(regionShift uint, phtEntries, phtWays, agtCap int) *SMS {
 	}
 	return &SMS{
 		regionShift: regionShift,
-		agt:         make(map[mem.RegionAddr]*smsGen, agtCap),
+		agt:         make([]smsGen, 0, agtCap),
+		agtIdx:      cache.NewAddrIndex(agtCap),
 		agtCap:      agtCap,
 		pht:         newPHT(phtEntries, phtWays),
 	}
@@ -133,8 +140,8 @@ func (s *SMS) OnAccess(_ int, pc mem.PC, b mem.BlockAddr, miss bool) []mem.Block
 	off := b.Offset(s.regionShift)
 	bit := uint64(1) << off
 
-	if g, ok := s.agt[region]; ok {
-		g.pattern |= bit
+	if i, ok := s.agtIdx.Get(uint64(region)); ok {
+		s.agt[i].pattern |= bit
 		return nil
 	}
 
@@ -143,12 +150,10 @@ func (s *SMS) OnAccess(_ int, pc mem.PC, b mem.BlockAddr, miss bool) []mem.Block
 		// Retire the oldest generation early.
 		old := s.agtFIFO[0]
 		s.agtFIFO = s.agtFIFO[1:]
-		if g, ok := s.agt[old]; ok {
-			s.train(g)
-			delete(s.agt, old)
-		}
+		s.endGen(old)
 	}
-	s.agt[region] = &smsGen{pc: pc, offset: off, pattern: bit}
+	s.agtIdx.Set(uint64(region), int32(len(s.agt)))
+	s.agt = append(s.agt, smsGen{region: region, pc: pc, offset: off, pattern: bit})
 	s.agtFIFO = append(s.agtFIFO, region)
 
 	pattern, ok := s.pht.lookup(s.signature(pc, off))
@@ -166,7 +171,7 @@ func (s *SMS) OnAccess(_ int, pc mem.PC, b mem.BlockAddr, miss bool) []mem.Block
 	return out
 }
 
-func (s *SMS) train(g *smsGen) {
+func (s *SMS) train(g smsGen) {
 	// Single-block generations carry no spatial information.
 	if g.pattern&(g.pattern-1) == 0 {
 		return
@@ -179,18 +184,33 @@ func (s *SMS) train(g *smsGen) {
 // ends it and commits its pattern to the PHT.
 func (s *SMS) OnEvict(b mem.BlockAddr) {
 	region := b.Region(s.regionShift)
-	g, ok := s.agt[region]
-	if !ok {
+	if !s.endGen(region) {
 		return
 	}
-	s.train(g)
-	delete(s.agt, region)
 	for i, r := range s.agtFIFO {
 		if r == region {
 			s.agtFIFO = append(s.agtFIFO[:i], s.agtFIFO[i+1:]...)
 			break
 		}
 	}
+}
+
+// endGen trains and removes region's active generation, reporting
+// whether it had one.
+func (s *SMS) endGen(region mem.RegionAddr) bool {
+	i, ok := s.agtIdx.Delete(uint64(region))
+	if !ok {
+		return false
+	}
+	s.train(s.agt[i])
+	// Keep the table dense: the last generation moves into the hole.
+	last := len(s.agt) - 1
+	if int(i) != last {
+		s.agt[i] = s.agt[last]
+		s.agtIdx.Set(uint64(s.agt[i].region), i)
+	}
+	s.agt = s.agt[:last]
+	return true
 }
 
 // ActiveGenerations returns the AGT occupancy (introspection).

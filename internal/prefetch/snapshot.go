@@ -3,6 +3,7 @@ package prefetch
 import (
 	"fmt"
 
+	"bump/internal/cache"
 	"bump/internal/mem"
 	"bump/internal/snapshot"
 )
@@ -68,8 +69,8 @@ func (s *Stride) RestoreFrom(r *snapshot.Reader) error {
 }
 
 // SnapshotTo serializes SMS: the active generation table in FIFO order
-// (which rebuilds both the map and the retirement queue) and the pattern
-// history table.
+// (which rebuilds both the table and the retirement queue) and the
+// pattern history table.
 func (s *SMS) SnapshotTo(w *snapshot.Writer) {
 	w.Section("sms")
 	w.U32(uint32(s.regionShift))
@@ -79,9 +80,10 @@ func (s *SMS) SnapshotTo(w *snapshot.Writer) {
 	w.U32(uint32(len(s.agtFIFO)))
 	for _, region := range s.agtFIFO {
 		w.U64(uint64(region))
-		g, ok := s.agt[region]
+		i, ok := s.agtIdx.Get(uint64(region))
 		w.Bool(ok)
 		if ok {
+			g := &s.agt[i]
 			w.U64(uint64(g.pc))
 			w.U32(uint32(g.offset))
 			w.U64(g.pattern)
@@ -123,7 +125,8 @@ func (s *SMS) RestoreFrom(r *snapshot.Reader) error {
 	if n > s.agtCap {
 		return fmt.Errorf("prefetch: %d active generations exceed capacity %d", n, s.agtCap)
 	}
-	s.agt = make(map[mem.RegionAddr]*smsGen, n)
+	s.agt = make([]smsGen, 0, s.agtCap)
+	s.agtIdx = cache.NewAddrIndex(s.agtCap)
 	s.agtFIFO = make([]mem.RegionAddr, 0, n)
 	for i := 0; i < n; i++ {
 		region := mem.RegionAddr(r.U64())
@@ -133,14 +136,15 @@ func (s *SMS) RestoreFrom(r *snapshot.Reader) error {
 		}
 		s.agtFIFO = append(s.agtFIFO, region)
 		if hasGen {
-			if _, dup := s.agt[region]; dup {
+			if _, dup := s.agtIdx.GetOrInsert(uint64(region), int32(len(s.agt))); dup {
 				return fmt.Errorf("prefetch: duplicate active generation for region %#x", uint64(region))
 			}
-			s.agt[region] = &smsGen{
+			s.agt = append(s.agt, smsGen{
+				region:  region,
 				pc:      mem.PC(r.U64()),
 				offset:  uint(r.U32()),
 				pattern: r.U64(),
-			}
+			})
 		}
 	}
 	t := s.pht

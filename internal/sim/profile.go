@@ -9,6 +9,7 @@ package sim
 import (
 	"math/bits"
 
+	"bump/internal/cache"
 	"bump/internal/mem"
 )
 
@@ -95,19 +96,23 @@ type Profile struct {
 	regionShift uint
 	perRegion   uint
 
-	// Generation state is held by value: the maps churn once per region
-	// residency, and boxing every generation behind a pointer made the
-	// profiler a leading allocation site.
-	readGens  map[mem.RegionAddr]readGen
-	writeGens map[mem.RegionAddr]writeGen
+	// Open generations live densely in slabs, each indexed by region:
+	// they open and close once per region residency, on the per-access
+	// path, so they must neither allocate nor hash through a Go map.
+	readGens  []readGen
+	readIdx   *cache.AddrIndex
+	writeGens []writeGen
+	writeIdx  *cache.AddrIndex
 }
 
 type readGen struct {
+	region  mem.RegionAddr
 	pattern uint64
 	reads   uint64
 }
 
 type writeGen struct {
+	region     mem.RegionAddr
 	dirtied    uint64 // distinct blocks dirtied this epoch
 	writebacks uint64
 	closed     bool // first dirty eviction seen
@@ -118,8 +123,8 @@ func NewProfile(regionShift uint) *Profile {
 	return &Profile{
 		regionShift: regionShift,
 		perRegion:   mem.BlocksPerRegion(regionShift),
-		readGens:    make(map[mem.RegionAddr]readGen),
-		writeGens:   make(map[mem.RegionAddr]writeGen),
+		readIdx:     cache.NewAddrIndex(0),
+		writeIdx:    cache.NewAddrIndex(0),
 	}
 }
 
@@ -127,12 +132,12 @@ func NewProfile(regionShift uint) *Profile {
 // read generation for the region if none is active.
 func (p *Profile) OnDemandAccess(b mem.BlockAddr) {
 	r := b.Region(p.regionShift)
-	g, ok := p.readGens[r]
+	i, ok := p.readIdx.GetOrInsert(uint64(r), int32(len(p.readGens)))
 	if !ok {
 		p.ReadGenerations++
+		p.readGens = append(p.readGens, readGen{region: r})
 	}
-	g.pattern |= 1 << b.Offset(p.regionShift)
-	p.readGens[r] = g
+	p.readGens[i].pattern |= 1 << b.Offset(p.regionShift)
 }
 
 // OnDRAMRead attributes one DRAM read (demand miss) to its region's
@@ -144,20 +149,20 @@ func (p *Profile) OnDRAMRead(b mem.BlockAddr, storeTriggered bool) {
 	} else {
 		p.LoadReads++
 	}
-	r := b.Region(p.regionShift)
-	if g, ok := p.readGens[r]; ok {
-		g.reads++
-		p.readGens[r] = g
+	if i, ok := p.readIdx.Get(uint64(b.Region(p.regionShift))); ok {
+		p.readGens[i].reads++
 	}
 }
 
 // OnDirty observes a block becoming dirty in the LLC (store completion).
 func (p *Profile) OnDirty(b mem.BlockAddr) {
 	r := b.Region(p.regionShift)
-	g, ok := p.writeGens[r]
+	i, ok := p.writeIdx.GetOrInsert(uint64(r), int32(len(p.writeGens)))
 	if !ok {
 		p.WriteEpochs++
+		p.writeGens = append(p.writeGens, writeGen{region: r})
 	}
+	g := &p.writeGens[i]
 	bit := uint64(1) << b.Offset(p.regionShift)
 	if g.dirtied&bit == 0 {
 		g.dirtied |= bit
@@ -166,7 +171,6 @@ func (p *Profile) OnDirty(b mem.BlockAddr) {
 			p.LateDirtyBlocks++
 		}
 	}
-	p.writeGens[r] = g
 }
 
 // OnDRAMWrite attributes one DRAM write (writeback) to its region's write
@@ -174,16 +178,16 @@ func (p *Profile) OnDirty(b mem.BlockAddr) {
 func (p *Profile) OnDRAMWrite(b mem.BlockAddr) {
 	p.Writes++
 	r := b.Region(p.regionShift)
-	g, ok := p.writeGens[r]
+	i, ok := p.writeIdx.GetOrInsert(uint64(r), int32(len(p.writeGens)))
 	if !ok {
 		// Writeback with no recorded store (e.g. warmup leakage):
 		// attribute as a single-block epoch.
-		g = writeGen{dirtied: 1}
+		p.writeGens = append(p.writeGens, writeGen{region: r, dirtied: 1})
 		p.WriteEpochs++
 	}
+	g := &p.writeGens[i]
 	g.writebacks++
 	g.closed = true
-	p.writeGens[r] = g
 	p.WritesByClass[classify(uint(bits.OnesCount64(g.dirtied)), p.perRegion)]++
 }
 
@@ -191,29 +195,48 @@ func (p *Profile) OnDRAMWrite(b mem.BlockAddr) {
 // (the paper's generation boundary: first eviction of a block of the
 // region) and classifying its DRAM reads by final density.
 func (p *Profile) OnEvict(b mem.BlockAddr, dirty bool) {
-	r := b.Region(p.regionShift)
-	if g, ok := p.readGens[r]; ok {
-		p.ReadsByClass[classify(uint(bits.OnesCount64(g.pattern)), p.perRegion)] += g.reads
-		delete(p.readGens, r)
+	if i, ok := p.readIdx.Delete(uint64(b.Region(p.regionShift))); ok {
+		p.closeRead(p.readGens[i])
+		// Keep the slab dense: the last generation moves into the hole.
+		last := len(p.readGens) - 1
+		if int(i) != last {
+			p.readGens[i] = p.readGens[last]
+			p.readIdx.Set(uint64(p.readGens[i].region), i)
+		}
+		p.readGens = p.readGens[:last]
 	}
 	_ = dirty
+}
+
+// closeRead classifies a finished read generation's DRAM reads by its
+// final density.
+func (p *Profile) closeRead(g readGen) {
+	p.ReadsByClass[classify(uint(bits.OnesCount64(g.pattern)), p.perRegion)] += g.reads
 }
 
 // OnWriteEpochEnd closes a write epoch once the region has no dirty
 // blocks left in the LLC; the next store opens a fresh epoch.
 func (p *Profile) OnWriteEpochEnd(b mem.BlockAddr) {
-	delete(p.writeGens, b.Region(p.regionShift))
+	if i, ok := p.writeIdx.Delete(uint64(b.Region(p.regionShift))); ok {
+		last := len(p.writeGens) - 1
+		if int(i) != last {
+			p.writeGens[i] = p.writeGens[last]
+			p.writeIdx.Set(uint64(p.writeGens[i].region), i)
+		}
+		p.writeGens = p.writeGens[:last]
+	}
 }
 
-// Flush closes all open generations (end of measurement).
+// Flush closes all open generations (end of measurement), keeping the
+// slabs' and indexes' storage for reuse.
 func (p *Profile) Flush() {
-	for r, g := range p.readGens {
-		p.ReadsByClass[classify(uint(bits.OnesCount64(g.pattern)), p.perRegion)] += g.reads
-		delete(p.readGens, r)
+	for _, g := range p.readGens {
+		p.closeRead(g)
 	}
-	for r := range p.writeGens {
-		delete(p.writeGens, r)
-	}
+	p.readGens = p.readGens[:0]
+	p.readIdx.Reset()
+	p.writeGens = p.writeGens[:0]
+	p.writeIdx.Reset()
 }
 
 // Reads returns total DRAM demand reads.

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 
+	"bump/internal/cache"
 	"bump/internal/core"
 	"bump/internal/dram"
 	"bump/internal/mem"
@@ -256,17 +259,7 @@ func (s *System) writeState(w *snapshot.Writer) error {
 		writeStatsSnap(w, s.base)
 	}
 
-	// Region dirty counts, sorted for canonical bytes.
-	regions := make([]mem.RegionAddr, 0, len(s.dirtyCount))
-	for r := range s.dirtyCount {
-		regions = append(regions, r)
-	}
-	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
-	w.U32(uint32(len(regions)))
-	for _, r := range regions {
-		w.U64(uint64(r))
-		w.I64(int64(s.dirtyCount[r]))
-	}
+	writeDirtyCounts(w, s.dirtyCount)
 
 	// Waiter slab: preserved slot-for-slot (tokens in flight embed slot
 	// indices and generations). Free slots reduce to their generation
@@ -326,11 +319,8 @@ func (s *System) writeState(w *snapshot.Writer) error {
 			w.U64(p)
 		}
 		w.I64(int64(c.mshrs))
-		chains := make([]uint32, 0, len(c.chains))
-		for ch := range c.chains {
-			chains = append(chains, ch)
-		}
-		sort.Slice(chains, func(i, j int) bool { return chains[i] < chains[j] })
+		chains := slices.Clone(c.chains)
+		slices.Sort(chains)
 		w.U32(uint32(len(chains)))
 		for _, ch := range chains {
 			w.U32(ch)
@@ -417,21 +407,8 @@ func (s *System) readState(r *snapshot.Reader) error {
 		s.base = snap{}
 	}
 
-	nDirty := r.Len(8 + 8)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	s.dirtyCount = make(map[mem.RegionAddr]int, nDirty)
-	for i := 0; i < nDirty; i++ {
-		region := mem.RegionAddr(r.U64())
-		count := int(r.I64())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if count <= 0 {
-			return fmt.Errorf("sim: restore: non-positive dirty count for region %#x", uint64(region))
-		}
-		s.dirtyCount[region] = count
+	if err := readDirtyCounts(r, s.dirtyCount); err != nil {
+		return err
 	}
 
 	nWaiters := r.Len(1 + 4)
@@ -566,9 +543,15 @@ func (s *System) readState(r *snapshot.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.chains = make(map[uint32]bool, nChains)
+		c.chains = make([]uint32, 0, nChains)
 		for i := 0; i < nChains; i++ {
-			c.chains[r.U32()] = true
+			// Chains are written in ascending order; anything else is
+			// a duplicate or a corrupt list.
+			ch := r.U32()
+			if n := len(c.chains); n > 0 && ch <= c.chains[n-1] {
+				return fmt.Errorf("sim: restore: core %d: chain %d out of order", c.id, ch)
+			}
+			c.chains = append(c.chains, ch)
 		}
 		c.instructions = r.U64()
 		c.armed = r.Bool()
@@ -643,31 +626,60 @@ func readStatsSnap(r *snapshot.Reader, sn *snap) error {
 	return r.Err()
 }
 
+// writeDirtyCounts serializes the per-region dirty-block counts in
+// ascending region order, for canonical bytes.
+func writeDirtyCounts(w *snapshot.Writer, dirty *cache.AddrIndex) {
+	regions := dirty.AppendKeys(nil)
+	slices.Sort(regions)
+	w.U32(uint32(len(regions)))
+	for _, r := range regions {
+		n, _ := dirty.Get(r)
+		w.U64(r)
+		w.I64(int64(n))
+	}
+}
+
+// readDirtyCounts replaces dirty's contents with a snapshot's counts,
+// rejecting non-positive counts and duplicate regions.
+func readDirtyCounts(r *snapshot.Reader, dirty *cache.AddrIndex) error {
+	n := r.Len(8 + 8)
+	if r.Err() != nil {
+		return r.Err()
+	}
+	dirty.Reset()
+	for i := 0; i < n; i++ {
+		region := r.U64()
+		count := r.I64()
+		if r.Err() != nil {
+			return r.Err()
+		}
+		if count <= 0 || count > math.MaxInt32 {
+			return fmt.Errorf("sim: restore: dirty count %d out of range for region %#x", count, region)
+		}
+		if _, dup := dirty.GetOrInsert(region, int32(count)); dup {
+			return fmt.Errorf("sim: restore: duplicate dirty count for region %#x", region)
+		}
+	}
+	return nil
+}
+
 func writeProfile(w *snapshot.Writer, p *Profile) {
 	w.Section("profile")
 	w.U32(uint32(p.regionShift))
 	w.Any(p.ProfileCounters)
-	readRegions := make([]mem.RegionAddr, 0, len(p.readGens))
-	for r := range p.readGens {
-		readRegions = append(readRegions, r)
-	}
-	sort.Slice(readRegions, func(i, j int) bool { return readRegions[i] < readRegions[j] })
-	w.U32(uint32(len(readRegions)))
-	for _, region := range readRegions {
-		g := p.readGens[region]
-		w.U64(uint64(region))
+	reads := slices.Clone(p.readGens)
+	slices.SortFunc(reads, func(a, b readGen) int { return cmp.Compare(a.region, b.region) })
+	w.U32(uint32(len(reads)))
+	for _, g := range reads {
+		w.U64(uint64(g.region))
 		w.U64(g.pattern)
 		w.U64(g.reads)
 	}
-	writeRegions := make([]mem.RegionAddr, 0, len(p.writeGens))
-	for r := range p.writeGens {
-		writeRegions = append(writeRegions, r)
-	}
-	sort.Slice(writeRegions, func(i, j int) bool { return writeRegions[i] < writeRegions[j] })
-	w.U32(uint32(len(writeRegions)))
-	for _, region := range writeRegions {
-		g := p.writeGens[region]
-		w.U64(uint64(region))
+	writes := slices.Clone(p.writeGens)
+	slices.SortFunc(writes, func(a, b writeGen) int { return cmp.Compare(a.region, b.region) })
+	w.U32(uint32(len(writes)))
+	for _, g := range writes {
+		w.U64(uint64(g.region))
 		w.U64(g.dirtied)
 		w.U64(g.writebacks)
 		w.Bool(g.closed)
@@ -688,19 +700,27 @@ func readProfile(r *snapshot.Reader, p *Profile) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	p.readGens = make(map[mem.RegionAddr]readGen, nRead)
+	p.readGens = make([]readGen, 0, nRead)
+	p.readIdx = cache.NewAddrIndex(nRead)
 	for i := 0; i < nRead; i++ {
-		region := mem.RegionAddr(r.U64())
-		p.readGens[region] = readGen{pattern: r.U64(), reads: r.U64()}
+		g := readGen{region: mem.RegionAddr(r.U64()), pattern: r.U64(), reads: r.U64()}
+		if _, dup := p.readIdx.GetOrInsert(uint64(g.region), int32(len(p.readGens))); dup {
+			return fmt.Errorf("sim: restore: duplicate read generation for region %#x", uint64(g.region))
+		}
+		p.readGens = append(p.readGens, g)
 	}
 	nWrite := r.Len(8*3 + 1)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	p.writeGens = make(map[mem.RegionAddr]writeGen, nWrite)
+	p.writeGens = make([]writeGen, 0, nWrite)
+	p.writeIdx = cache.NewAddrIndex(nWrite)
 	for i := 0; i < nWrite; i++ {
-		region := mem.RegionAddr(r.U64())
-		p.writeGens[region] = writeGen{dirtied: r.U64(), writebacks: r.U64(), closed: r.Bool()}
+		g := writeGen{region: mem.RegionAddr(r.U64()), dirtied: r.U64(), writebacks: r.U64(), closed: r.Bool()}
+		if _, dup := p.writeIdx.GetOrInsert(uint64(g.region), int32(len(p.writeGens))); dup {
+			return fmt.Errorf("sim: restore: duplicate write epoch for region %#x", uint64(g.region))
+		}
+		p.writeGens = append(p.writeGens, g)
 	}
 	return r.Err()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"bump/internal/cache"
 	"bump/internal/core"
@@ -112,7 +113,9 @@ type System struct {
 	regionShift uint
 	carriesPC   bool
 
-	dirtyCount map[mem.RegionAddr]int
+	// dirtyCount maps a region to the number of its LLC blocks that
+	// are dirty; a region with none has no entry.
+	dirtyCount *cache.AddrIndex
 	waiters    []waiterSlot
 	freeWaiter int32
 
@@ -179,7 +182,7 @@ func New(cfg Config) (*System, error) {
 		dram:        d,
 		prof:        NewProfile(cfg.BuMP.RegionShift),
 		regionShift: cfg.BuMP.RegionShift,
-		dirtyCount:  make(map[mem.RegionAddr]int),
+		dirtyCount:  cache.NewAddrIndex(0),
 		freeWaiter:  -1,
 
 		measuredBound: cfg.ForkAt == 0,
@@ -241,7 +244,6 @@ func New(cfg Config) (*System, error) {
 			sys:    s,
 			stream: stream,
 			l1:     cache.New(cfg.L1Bytes, cfg.L1Ways),
-			chains: make(map[uint32]bool),
 			port:   event.NewPort(eng),
 			ctr:    &s.counters,
 			xbar:   s.xbar,
@@ -340,7 +342,9 @@ type coreRunner struct {
 	pos     uint64   // retired-instruction position
 	pending []uint64 // program positions of outstanding blocking loads
 	mshrs   int
-	chains  map[uint32]bool
+	// chains lists the dependent chains with a link in flight: a
+	// handful at most, so a slice scan beats any map.
+	chains []uint32
 
 	instructions uint64
 	armed        bool
@@ -380,7 +384,7 @@ func (c *coreRunner) advance() {
 
 		// Data dependency: a chained access waits for the previous
 		// link's data.
-		if a.Chain != 0 && c.chains[a.Chain] {
+		if a.Chain != 0 && slices.Contains(c.chains, a.Chain) {
 			c.ctr.ChainStalls++
 			return // chain completion wakes us
 		}
@@ -411,7 +415,7 @@ func (c *coreRunner) advance() {
 
 		if l1Hit {
 			if acc.Chain != 0 {
-				c.chains[acc.Chain] = true
+				c.chains = append(c.chains, acc.Chain) // idle: checked above
 				done := issueAt + s.cfg.L1LatencyCycles
 				c.port.Post(done, chainDoneH, c, uint64(acc.Chain), 0)
 			}
@@ -420,7 +424,7 @@ func (c *coreRunner) advance() {
 			if isLoad {
 				c.pending = append(c.pending, c.pos)
 				if acc.Chain != 0 {
-					c.chains[acc.Chain] = true
+					c.chains = append(c.chains, acc.Chain)
 				}
 			}
 			tok := s.newToken(acc, c.id, isLoad, c.pos, issueAt)
@@ -438,8 +442,16 @@ func (c *coreRunner) advance() {
 }
 
 func (c *coreRunner) chainDone(chain uint32) {
-	delete(c.chains, chain)
+	c.endChain(chain)
 	c.wake()
+}
+
+func (c *coreRunner) endChain(chain uint32) {
+	if i := slices.Index(c.chains, chain); i >= 0 {
+		last := len(c.chains) - 1
+		c.chains[i] = c.chains[last]
+		c.chains = c.chains[:last]
+	}
 }
 
 // ---- LLC and memory path ---------------------------------------------
@@ -589,7 +601,7 @@ func (s *System) deliver(tok uint64, b mem.BlockAddr) {
 			}
 		}
 		if chain != 0 {
-			delete(cr.chains, chain)
+			cr.endChain(chain)
 		}
 		cr.l1.Fill(b, 0, cr.id, false)
 	}
@@ -607,16 +619,19 @@ func (s *System) markDirty(line *cache.Line) {
 		line.Cleaned = false
 	}
 	line.Dirty = true
-	s.dirtyCount[line.Block.Region(s.regionShift)]++
+	r := uint64(line.Block.Region(s.regionShift))
+	n, _ := s.dirtyCount.Get(r)
+	s.dirtyCount.Set(r, n+1)
 	s.prof.OnDirty(line.Block)
 }
 
 func (s *System) decDirty(r mem.RegionAddr, b mem.BlockAddr) {
-	s.dirtyCount[r]--
-	if s.dirtyCount[r] <= 0 {
-		delete(s.dirtyCount, r)
-		s.prof.OnWriteEpochEnd(b)
+	if n, _ := s.dirtyCount.Get(uint64(r)); n > 1 {
+		s.dirtyCount.Set(uint64(r), n-1)
+		return
 	}
+	s.dirtyCount.Delete(uint64(r))
+	s.prof.OnWriteEpochEnd(b)
 }
 
 // onMemComplete handles DRAM completions: writebacks finish silently;
