@@ -92,7 +92,7 @@ func (l localRunner) runAll(specs []service.JobSpec) ([]sim.Result, error) {
 
 // remoteRunner submits the batch to a bumpd or bumpctl server — one
 // POST /v1/batch when the server speaks it, falling back to per-job
-// submit-and-poll against older daemons.
+// submit-and-wait against older daemons.
 type remoteRunner struct{ client *service.Client }
 
 func (r remoteRunner) runAll(specs []service.JobSpec) ([]sim.Result, error) {
@@ -105,7 +105,7 @@ func (r remoteRunner) runAll(specs []service.JobSpec) ([]sim.Result, error) {
 	if !errors.As(err, &apiErr) || (apiErr.Code != 404 && apiErr.Code != 405) {
 		return nil, err
 	}
-	// Pre-batch server: submit each spec and poll it down.
+	// Pre-batch server: submit each spec and wait each one down.
 	ids := make([]string, len(specs))
 	terminal := make([]*service.JobStatus, len(specs))
 	for i, spec := range specs {

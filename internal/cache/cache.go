@@ -4,10 +4,10 @@
 // The cache is a pure state container — lookup, fill, eviction, dirty
 // tracking, LRU replacement — with no notion of time. Latency, banking
 // conflicts and MSHR occupancy are imposed by the simulator driving it.
-// Each line carries the metadata BuMP and the statistics need: the PC that
-// triggered the fill, whether the fill was a prefetch/bulk transfer, and
-// whether a demand access referenced it after the fill (overfetch
-// accounting, Fig. 8).
+// Each line carries only the metadata BuMP and the statistics need:
+// whether the fill was a prefetch/bulk transfer, whether a demand access
+// referenced it after the fill (overfetch accounting, Fig. 8), and
+// whether it was eagerly cleaned.
 package cache
 
 import (
@@ -16,7 +16,10 @@ import (
 	"bump/internal/mem"
 )
 
-// Line is one cache block's bookkeeping state.
+// Line is one cache block's bookkeeping state. Keep it at 24 bytes (the
+// block address, the flags, the LRU stamp): the paper's 4 MB LLC holds
+// 65,536 of them, the bulk of what a simulation allocates, and
+// TestLineSize guards the size.
 type Line struct {
 	Block mem.BlockAddr
 	Valid bool
@@ -27,11 +30,6 @@ type Line struct {
 	// Referenced marks lines touched by a demand access since fill;
 	// a Prefetched line evicted with Referenced == false is overfetch.
 	Referenced bool
-	// PC is the instruction that triggered the fill (demand) or the
-	// bulk trigger instruction (bulk fills).
-	PC mem.PC
-	// Core is the originating core of the fill.
-	Core int
 	// Cleaned marks lines whose dirty data was written back eagerly
 	// (VWQ / BuMP bulk writes) while staying resident; re-dirtying such
 	// a line means the eager writeback was premature (Fig. 8's "extra
@@ -145,8 +143,10 @@ func (c *Cache) Contains(b mem.BlockAddr) bool { return c.Lookup(b, false) != ni
 
 // Fill inserts block b, evicting the LRU line of its set if necessary, and
 // returns the new line plus the eviction record. Filling a block that is
-// already resident refreshes its metadata but keeps its dirty bit.
-func (c *Cache) Fill(b mem.BlockAddr, pc mem.PC, core int, prefetched bool) (*Line, Eviction) {
+// already resident refreshes its LRU position but keeps its state. pc
+// and core are unused (a line does not record who filled it: nothing
+// reads that back); they stay in the signature for existing callers.
+func (c *Cache) Fill(b mem.BlockAddr, _ mem.PC, _ int, prefetched bool) (*Line, Eviction) {
 	set := c.set(b)
 	c.stats.Fills++
 	// Already resident: refresh.
@@ -173,7 +173,7 @@ func (c *Cache) Fill(b mem.BlockAddr, pc mem.PC, core int, prefetched bool) (*Li
 		c.noteEvict(&set[victim])
 	}
 	c.tick++
-	set[victim] = Line{Block: b, Valid: true, PC: pc, Core: core, Prefetched: prefetched, lastUse: c.tick}
+	set[victim] = Line{Block: b, Valid: true, Prefetched: prefetched, lastUse: c.tick}
 	return &set[victim], ev
 }
 

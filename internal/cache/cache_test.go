@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"bump/internal/mem"
 )
@@ -42,12 +43,26 @@ func TestFillLookupHitMiss(t *testing.T) {
 	if l == nil || l.Block != b || !l.Valid {
 		t.Fatal("fill then lookup must hit")
 	}
-	if l.PC != 0x400 || l.Core != 1 {
-		t.Error("line metadata lost")
+	if l.Prefetched || l.Dirty || !l.Referenced {
+		t.Errorf("demand fill then hit: line metadata %+v", *l)
 	}
 	st := c.Stats()
 	if st.Lookups != 2 || st.Hits != 1 || st.Misses != 1 || st.Fills != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+	pb := mem.BlockAddr(6)
+	c.Fill(pb, 0x400, 1, true)
+	if pl := c.Lookup(pb, false); pl == nil || pl.Block != pb || !pl.Valid || !pl.Prefetched || pl.Referenced {
+		t.Errorf("prefetch fill: line metadata %+v", pl)
+	}
+}
+
+// TestLineSize pins a line at 24 bytes: the LLC line array is most of
+// what a simulation allocates (1.5 MB for the paper's 4 MB LLC), so a
+// re-added per-line field shows up as memory in every concurrent job.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 24", got)
 	}
 }
 

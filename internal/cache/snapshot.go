@@ -48,8 +48,6 @@ func (c *Cache) SnapshotTo(w *snapshot.Writer) {
 		}
 		w.U8(flags)
 		w.U64(uint64(l.Block))
-		w.U64(uint64(l.PC))
-		w.I64(int64(l.Core))
 		w.U64(l.lastUse)
 	}
 }
@@ -86,8 +84,6 @@ func (c *Cache) RestoreFrom(r *snapshot.Reader) error {
 			Prefetched: flags&linePrefetched != 0,
 			Referenced: flags&lineReferenced != 0,
 			Cleaned:    flags&lineCleaned != 0,
-			PC:         mem.PC(r.U64()),
-			Core:       int(r.I64()),
 			lastUse:    r.U64(),
 		}
 		// A resident line must live in the set its address indexes, or

@@ -24,7 +24,6 @@ func fastRegistry() RegistryOptions {
 		FailAfter:      2,
 		BackoffBase:    50 * time.Millisecond,
 		BackoffMax:     200 * time.Millisecond,
-		PollInterval:   10 * time.Millisecond,
 		RequestTimeout: 5 * time.Second,
 	}
 }
@@ -124,7 +123,6 @@ func TestChaosCoordinatorCrashRestartMidSweep(t *testing.T) {
 	front2 := httptest.NewServer(c2.Handler())
 	t.Cleanup(front2.Close)
 	client2 := service.NewClient(front2.URL)
-	client2.PollInterval = 10 * time.Millisecond
 
 	// The replay is visible in /v1/healthz durability stats.
 	h := c2.Health()
@@ -226,7 +224,6 @@ func TestChaosHeartbeatRevivesDroppedWorker(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
 	resp, err := client.Register(context.Background(), service.RegisterRequest{URL: px.URL(), Version: snapshot.FormatVersion})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +255,6 @@ func TestChaosDrainCordonLifecycle(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
 
 	verb := func(name, worker string) (WorkerInfo, int) {
 		t.Helper()
@@ -443,7 +439,6 @@ func TestChaosWireSeverFallsBackToJSON(t *testing.T) {
 
 	client := service.NewClient(w.srv.URL)
 	client.WireAddr = proxy.Addr() // pin the faultable front, skip negotiation
-	client.PollInterval = 10 * time.Millisecond
 	t.Cleanup(func() { client.Close() })
 
 	spec := sweepSpec("web-search", 0)

@@ -85,7 +85,6 @@ func newTestCoordinator(t *testing.T, fleet []*testWorker) *Coordinator {
 			FailAfter:      2,
 			BackoffBase:    50 * time.Millisecond,
 			BackoffMax:     200 * time.Millisecond,
-			PollInterval:   10 * time.Millisecond,
 			RequestTimeout: 5 * time.Second,
 		},
 	})
@@ -375,7 +374,6 @@ func TestClusterWireProtocol(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
 
 	spec := sweepSpec("web-search", 0)
 	spec.MeasureCycles = 5_000_000 // long enough for a live SSE stream
@@ -461,7 +459,6 @@ func TestClusterBatchHTTP(t *testing.T) {
 	front := httptest.NewServer(coord.Handler())
 	t.Cleanup(front.Close)
 	client := service.NewClient(front.URL)
-	client.PollInterval = 10 * time.Millisecond
 
 	specs := make([]service.JobSpec, 6)
 	for i := range specs {
@@ -557,9 +554,7 @@ func TestClusterE2ECrossProtocolSweep(t *testing.T) {
 
 	jsonClient := service.NewClient(front.URL)
 	jsonClient.DisableWire = true
-	jsonClient.PollInterval = 10 * time.Millisecond
 	wireClient := service.NewClient(front.URL)
-	wireClient.PollInterval = 10 * time.Millisecond
 	t.Cleanup(func() { jsonClient.Close(); wireClient.Close() })
 
 	jres, err := jsonClient.Batch(context.Background(), service.BatchSpec{Specs: specs}, nil)

@@ -27,7 +27,7 @@ type Options struct {
 	Registry RegistryOptions
 	// BatchConcurrency bounds in-flight points across batches (default
 	// 64; execution parallelism is bounded by the workers' own pools,
-	// this only caps coordinator-side goroutines and open polls).
+	// this only caps coordinator-side goroutines and open watch streams).
 	BatchConcurrency int
 	// DataDir is the WAL directory for durable coordinator state; empty
 	// means memory-only (embedded coordinators, tests). With a data dir,

@@ -133,7 +133,6 @@ func TestClusterE2EMetricsAndTrace(t *testing.T) {
 			FailAfter:      2,
 			BackoffBase:    50 * time.Millisecond,
 			BackoffMax:     200 * time.Millisecond,
-			PollInterval:   10 * time.Millisecond,
 			RequestTimeout: 5 * time.Second,
 		},
 		Metrics: metrics,

@@ -79,10 +79,9 @@ type RegistryOptions struct {
 	// its workers (default snapshot.FormatVersion — the version this
 	// binary was built with).
 	FormatVersion int
-	// RequestTimeout and PollInterval configure the per-worker
-	// service.Client (defaults: client defaults).
+	// RequestTimeout configures the per-worker service.Client
+	// (default: the client default).
 	RequestTimeout time.Duration
-	PollInterval   time.Duration
 	// DisableWire pins every per-worker client to HTTP/JSON even against
 	// workers that advertise a wire listener (cross-protocol comparison
 	// runs, debugging).
@@ -247,7 +246,6 @@ func (r *Registry) Add(url, id string) (*Worker, error) {
 	}
 	c := service.NewClient(url)
 	c.RequestTimeout = r.opts.RequestTimeout
-	c.PollInterval = r.opts.PollInterval
 	c.DisableWire = r.opts.DisableWire
 	w := &Worker{
 		ID:        id,

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Pool) {
@@ -74,7 +73,6 @@ func readSSE(t *testing.T, url string) []sseEvent {
 func TestAPISessionSubmitPollStreamResult(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 1})
 	client := NewClient(srv.URL)
-	client.PollInterval = 20 * time.Millisecond
 
 	// Submit: big enough that the SSE subscription attaches mid-run.
 	spec := specFixture()
@@ -226,7 +224,6 @@ func TestAPICancelEndpoint(t *testing.T) {
 func TestConcurrentAPISubmissions(t *testing.T) {
 	srv, pool := newTestServer(t, Options{Workers: 4})
 	client := NewClient(srv.URL)
-	client.PollInterval = 20 * time.Millisecond
 
 	const clients = 12
 	errs := make(chan error, clients)

@@ -23,11 +23,10 @@ import (
 type Client struct {
 	base string
 	http *http.Client
-	// PollInterval paces Wait's status polling (default 250ms).
-	PollInterval time.Duration
-	// RequestTimeout bounds each non-streaming HTTP call (default 30s).
-	// Streaming calls (Events, Batch) are bounded by their context only:
-	// a progress stream legitimately outlives any fixed request budget.
+	// RequestTimeout bounds each non-streaming HTTP call (default 30s)
+	// and each of Wait's stream attempts. Other streaming calls (Events,
+	// Watch, Batch) are bounded by their context only: a progress stream
+	// legitimately outlives any fixed request budget.
 	RequestTimeout time.Duration
 	// WireAddr pins the server's binary fast-path address ("host:port";
 	// an empty host is filled from the base URL). When empty the client
@@ -286,26 +285,43 @@ func (c *Client) FetchCheckpoint(ctx context.Context, digest string, sources []s
 	return resp.Fetched, nil
 }
 
-// Wait polls until the job reaches a terminal state or ctx expires.
-// Each poll is individually bounded by RequestTimeout, so a worker that
-// hangs mid-wait yields an error instead of blocking forever.
+// waitRewatchBackoff spaces Wait's re-watches after a stream that ended
+// early without a terminal state (a coordinator answers /events with
+// 503 while the job awaits placement), so Wait never busy-loops.
+const waitRewatchBackoff = 100 * time.Millisecond
+
+// Wait blocks until the job reaches a terminal state or ctx expires,
+// following the server's push stream (Watch: the wire watch when
+// available, SSE otherwise), so it returns as soon as the job settles.
+// Each stream attempt is bounded by RequestTimeout; an attempt that ends
+// without a terminal state is followed by one bounded status call, whose
+// error is returned — a worker that hangs mid-wait yields an error
+// within about twice RequestTimeout instead of blocking forever.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	poll := c.PollInterval
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
 	for {
-		st, err := c.Job(ctx, id)
+		attempt, cancel := context.WithTimeout(ctx, c.requestTimeout())
+		st, err := c.Watch(attempt, id, nil)
+		early := attempt.Err() == nil
+		cancel()
+		if err == nil && st.State.Terminal() {
+			return st, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return JobStatus{}, err
+		}
+		st, err = c.Job(ctx, id)
 		if err != nil {
 			return JobStatus{}, err
 		}
 		if st.State.Terminal() {
 			return st, nil
 		}
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		case <-time.After(poll):
+		if early {
+			select {
+			case <-ctx.Done():
+				return JobStatus{}, ctx.Err()
+			case <-time.After(waitRewatchBackoff):
+			}
 		}
 	}
 }

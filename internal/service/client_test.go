@@ -14,11 +14,10 @@ import (
 
 // faultServer runs a fault-injecting handler (see
 // internal/chaos/faultserver, shared with the cluster tests) and
-// returns a fast-polling client pointed at it.
+// returns a client pointed at it.
 func faultServer(t *testing.T, h faultserver.Handler) *Client {
 	t.Helper()
 	c := NewClient(faultserver.New(t, h).URL)
-	c.PollInterval = 5 * time.Millisecond
 	return c
 }
 
@@ -173,7 +172,6 @@ func TestClientEventsCallbackError(t *testing.T) {
 func TestClientAgainstRealServer(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 2})
 	c := NewClient(srv.URL)
-	c.PollInterval = 10 * time.Millisecond
 
 	// Batch: points stream in and the aggregate is ordered.
 	specs := []JobSpec{specFixture(), specFixture(), specFixture()}

@@ -51,7 +51,9 @@ const (
 	// change to the serialized state of any component.
 	// v2: the container gained the node-metadata block (checkpoint-tree
 	// forking) — header grew the meta length/CRC fields.
-	FormatVersion = 2
+	// v3: cache lines no longer carry the filling PC and core (dead
+	// state nothing read back); each resident line is 17 bytes, not 33.
+	FormatVersion = 3
 
 	magic     = "BUMPSNP\x00"
 	headerLen = len(magic) + 2 + 4 + 8 + 4 + 4

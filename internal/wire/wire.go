@@ -46,8 +46,9 @@ import (
 //
 // History: v1 had no hello flags; v2 added the flags word and the
 // trace-context field in job-carrying bodies (the snapshot codec is
-// positional, so the extra JobSpec field alone forces the bump).
-const FormatVersion = 2
+// positional, so the extra JobSpec field alone forces the bump); v3
+// follows snapshot format v3 (cache lines without PC/core).
+const FormatVersion = 3
 
 // Hello flag bits, advertised symmetrically in the hello's flags word.
 const (
