@@ -287,8 +287,10 @@ func (c *Client) FetchCheckpoint(ctx context.Context, digest string, sources []s
 
 // waitRewatchBackoff spaces Wait's re-watches after a stream that ended
 // early without a terminal state (a coordinator answers /events with
-// 503 while the job awaits placement), so Wait never busy-loops.
-const waitRewatchBackoff = 100 * time.Millisecond
+// 503 while the job awaits placement), so Wait never busy-loops. It
+// matches the coordinator's default placement retry tick: re-watching
+// sooner cannot find the job placed any sooner.
+const waitRewatchBackoff = 250 * time.Millisecond
 
 // Wait blocks until the job reaches a terminal state or ctx expires,
 // following the server's push stream (Watch: the wire watch when

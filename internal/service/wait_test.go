@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bump/internal/chaos/faultserver"
+	"bump/internal/sim"
 	"bump/internal/wire"
 )
 
@@ -160,4 +161,76 @@ func TestClientWaitHungServerBound(t *testing.T) {
 			t.Fatalf("DisableWire=%v: Wait failed after %s, want about 2x%s", jsonOnly, elapsed, c.RequestTimeout)
 		}
 	}
+}
+
+// silentWatch is a wire backend whose watch writes nothing and returns
+// only when its context ends, like a coordinator watching a job that
+// awaits placement.
+type silentWatch struct {
+	WireBackend
+	started, ended chan struct{}
+}
+
+func (b *silentWatch) WireWatch(ctx context.Context, id string, onProgress func(sim.Progress)) (JobStatus, error) {
+	b.started <- struct{}{}
+	<-ctx.Done()
+	b.ended <- struct{}{}
+	return JobStatus{}, ctx.Err()
+}
+
+// TestWireWatchEndsWithConnection: a wire request lives only as long as
+// its connection. A watch that writes nothing is canceled when its
+// client hangs up (as every Wait attempt cut off at RequestTimeout
+// does), and Server.Close returns promptly while one is in flight.
+func TestWireWatchEndsWithConnection(t *testing.T) {
+	b := &silentWatch{started: make(chan struct{}, 1), ended: make(chan struct{}, 1)}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := wire.Serve(l, NewWireHandler(b))
+	p := wire.NewPool(l.Addr().String())
+	defer p.Close()
+	watch := func() *wire.Conn {
+		t.Helper()
+		c, _, err := p.Get(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteFrame(wmWatch, encodeMsg(wireRef{Ref: "j00000001"})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-b.started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("watch never reached the backend")
+		}
+		return c
+	}
+	ended := func(what string) {
+		t.Helper()
+		select {
+		case <-b.ended:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("watch outlived %s", what)
+		}
+	}
+
+	c := watch()
+	c.Close()
+	ended("its client")
+
+	c = watch()
+	defer c.Close()
+	closed := make(chan struct{})
+	go func() {
+		ws.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close blocked on an in-flight watch")
+	}
+	ended("the server")
 }

@@ -34,6 +34,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -241,6 +242,30 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
+
+// WatchClose calls onClose if the connection ends — the peer hangs up
+// or the connection is closed locally (Server.Close) — while the caller
+// is busy answering a request. Peers do not pipeline, so a server has
+// nothing to read mid-response; a background read that fails means
+// nobody is left to answer. Bytes that do arrive stay buffered for the
+// next ReadFrame. The returned stop must be called before that
+// ReadFrame; it unblocks and joins the background read.
+func (c *Conn) WatchClose(onClose func()) (stop func()) {
+	done := make(chan struct{})
+	var stopping atomic.Bool
+	go func() {
+		defer close(done)
+		if _, err := c.br.Peek(1); err != nil && !stopping.Load() {
+			onClose()
+		}
+	}()
+	return func() {
+		stopping.Store(true)
+		c.nc.SetReadDeadline(time.Unix(1, 0)) // already past: end the Peek now
+		<-done
+		c.nc.SetReadDeadline(time.Time{})
+	}
+}
 
 // ---- Client pool ------------------------------------------------------
 

@@ -164,3 +164,78 @@ func TestServerPoolRoundtrip(t *testing.T) {
 		t.Fatalf("pool stats %+v, want 1 dial / 1 reuse", st)
 	}
 }
+
+// TestConnWatchClose: a server answering a request learns when its
+// peer hangs up, and a watch stopped without a hang-up leaves the next
+// request frame intact for ReadFrame.
+func TestConnWatchClose(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	got := make(chan string, 2)
+	srv := Serve(l, func(c *Conn) {
+		for {
+			_, body, err := c.ReadFrame()
+			if err != nil {
+				return
+			}
+			got <- string(body)
+			stop := c.WatchClose(func() { close(closed) })
+			if string(body) == "first" {
+				// Answer, then let the peer send its next request before
+				// the watch is stopped: the bytes must stay buffered.
+				c.WriteFrame(1, nil)
+				time.Sleep(50 * time.Millisecond)
+				stop()
+				continue
+			}
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+			}
+			stop()
+			return
+		}
+	})
+	defer srv.Close()
+
+	p := NewPool(l.Addr().String())
+	defer p.Close()
+	c, _, err := p.Get(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := c.WriteFrame(7, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteFrame(7, []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"first", "second"} {
+		select {
+		case b := <-got:
+			if b != want {
+				t.Fatalf("server read %q, want %q", b, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("server never read %q", want)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("onClose fired while the peer was still connected")
+	default:
+	}
+	c.Close()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("onClose never fired after the peer hung up")
+	}
+}
